@@ -50,22 +50,8 @@ fn e5_power_family_max_delay_grows_logarithmically() {
 /// delay — must collapse to the logarithmic regime.
 #[test]
 fn e8_rebalanced_chain_meets_the_depth_and_delay_bounds() {
-    // Chain grammars drive Θ(d)-deep descents; debug-build frames on the
-    // 2 MiB default test-thread stack overflow, so measure on a roomier
-    // thread (the release benches run the same workload on the main
-    // thread).
-    std::thread::Builder::new()
-        .stack_size(64 << 20)
-        .spawn(e8_body)
-        .unwrap()
-        .join()
-        .unwrap();
-}
-
-fn e8_body() {
     let query = compile_query(".*x{ab}.*", b"ab").unwrap();
-    // Deep enough that chain delay is Θ(d) pain, shallow enough that the
-    // per-result descent fits the debug-build stack.
+    // Deep enough that chain delay is Θ(d) pain.
     let doc: Vec<u8> = std::iter::repeat_n(b"ab".iter().copied(), 1 << 11)
         .flatten()
         .collect();
@@ -96,4 +82,36 @@ fn e8_body() {
         4 * balanced_max <= chain_max.max(Duration::from_micros(400)),
         "rebalancing no longer caps the delay: balanced {balanced_max:?} vs chain {chain_max:?}"
     );
+}
+
+/// Enumeration keeps no recursion on its path: a chain grammar of depth
+/// 2^14 enumerates on a 2 MiB stack, the default test-thread size, even
+/// with unoptimised debug-build frames.
+#[cfg(debug_assertions)]
+#[test]
+fn deep_chain_enumerates_on_a_small_stack() {
+    let depth = 1usize << 14;
+    let doc: Vec<u8> = b"ab".iter().copied().cycle().take(depth).collect();
+    let chain = Chain.compress(&doc);
+    assert_eq!(chain.depth() as usize, depth);
+    let query = compile_query(".*x{ab}.*", b"ab").unwrap();
+    let spans: Vec<Span> = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let spanner = SlpSpanner::new(&query, &chain).unwrap();
+            let x = Variable(0);
+            spanner
+                .enumerate()
+                .take(8)
+                .map(|t| t.get(x).expect("x is bound"))
+                .collect()
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    assert_eq!(spans.len(), 8);
+    for span in spans {
+        // Every match of `ab` starts at an odd (1-based) position.
+        assert_eq!((span.len(), span.start % 2), (2, 1), "{span:?}");
+    }
 }
