@@ -18,8 +18,11 @@ use spanner_bench::{
     unary_family, us,
 };
 use spanner_slp_core::{
-    compute::compute_all, enumerate::Enumerator, model_check, nonemptiness, PreparedDocument,
-    Service, Task, TaskRequest,
+    compute::{compute_all, compute_first},
+    enumerate::Enumerator,
+    model_check, nonemptiness,
+    prepared::PreparedEvaluation,
+    PreparedDocument, Service, Task, TaskRequest,
 };
 use spanner_workloads::{corpus, queries};
 
@@ -1332,6 +1335,7 @@ fn e9() {
         "r",
         "compute (µs)",
         "enumerate-and-collect (µs)",
+        "compute, limit 32 (µs)",
     ]);
     let query = queries::ab_blocks().automaton;
     for case in ab_family(&[1 << 8, 1 << 10, 1 << 12, 1 << 14]) {
@@ -1347,9 +1351,21 @@ fn e9() {
                 .count()
         });
         assert_eq!(r, r2);
+        // Top-k: the same matrices, every intermediate list cut at 32.
+        let (t_first, first) = time(|| {
+            let prepared = PreparedEvaluation::new(&query, &case.slp).expect("evaluation succeeds");
+            compute_first(&prepared.pre, 32).len()
+        });
+        assert_eq!(first, r.min(32));
         println!(
             "{}",
-            row(&[case.name.clone(), r.to_string(), us(t_compute), us(t_enum)])
+            row(&[
+                case.name.clone(),
+                r.to_string(),
+                us(t_compute),
+                us(t_enum),
+                us(t_first),
+            ])
         );
     }
     println!();

@@ -51,6 +51,7 @@ pub mod error;
 pub mod executor;
 pub mod matrices;
 pub mod model_check;
+mod needed;
 pub mod nonemptiness;
 pub mod prepared;
 pub mod service;

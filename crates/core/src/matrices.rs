@@ -22,7 +22,7 @@
 pub use crate::bitmat::RMatrix;
 use crate::executor::{LocalExecutor, ShardExecutor, ShardJob, ShardOutcome};
 use crate::prepared::EByte;
-use crate::trace::{ShardTrace, SpanRec};
+use crate::trace::{graft, ShardTrace, SpanRec};
 use slp::{NfRule, NonTerminal, NormalFormSlp, ShardLayout, Terminal};
 use spanner::{MarkedSymbol, MarkerSet, PartialMarkerSet};
 use spanner_automata::nfa::{Label, Nfa};
@@ -84,8 +84,9 @@ pub struct ShardBuildStats {
     /// `shard_build` entry is zero).
     pub deduped: usize,
     /// Span fragment of a *sampled* build: the executors' per-shard spans
-    /// plus the root merge span, all in the request timebase with `None`
-    /// parents (the service grafts them under its matrix-build span).
+    /// plus the root merge span, all in the request timebase.  Fragment
+    /// roots have `None` parents (the service grafts them under its
+    /// matrix-build span); spans below a root keep pointing at it.
     /// Empty — and allocation-free — for unsampled builds.
     pub spans: Vec<SpanRec>,
 }
@@ -548,8 +549,10 @@ impl Preprocessed {
         let mut fallbacks = 0usize;
         let mut hedges = 0usize;
         let mut spans: Vec<SpanRec> = Vec::new();
-        for ((range, block), mut outcome) in layout.ranges.iter().zip(&blocks).zip(outcomes) {
-            spans.append(&mut outcome.spans);
+        for ((range, block), outcome) in layout.ranges.iter().zip(&blocks).zip(outcomes) {
+            // Each fragment's parent indices are local to it (a remote
+            // leg's worker spans point at its own `shard_rpc`): remap them.
+            graft(&mut spans, &outcome.spans, None, 0);
             assert_eq!(
                 outcome.rows.len(),
                 range.len(),
@@ -941,5 +944,85 @@ mod tests {
         assert_eq!(pre.i_bar(names_4_2::TC.0, 4, 4), vec![None]);
         assert_eq!(pre.i_bar(names_4_2::C.0, 0, 0), vec![None]);
         assert!(!pre.i_bar(names_4_2::A.0, 0, 4).contains(&None));
+    }
+
+    /// A two-span leg per shard, shaped like a remote leg (a root with a
+    /// child pointing at index 0 of the fragment), later shards starting
+    /// earlier — as when legs are issued out of shard order.
+    #[derive(Debug)]
+    struct OutOfOrderLegs;
+
+    impl ShardExecutor for OutOfOrderLegs {
+        fn execute(&self, job: &ShardJob<'_>) -> ShardOutcome {
+            let mut outcome = LocalExecutor.execute(job);
+            let shard = vec![("shard".to_string(), job.shard_index.to_string())];
+            let start_us = 1_000 - 100 * job.shard_index as u64;
+            outcome.spans = vec![
+                SpanRec {
+                    name: "leg".to_string(),
+                    start_us,
+                    dur_us: 50,
+                    parent: None,
+                    attrs: shard.clone(),
+                },
+                SpanRec {
+                    name: "pass".to_string(),
+                    start_us: start_us + 10,
+                    dur_us: 30,
+                    parent: Some(0),
+                    attrs: shard,
+                },
+            ];
+            outcome
+        }
+    }
+
+    #[test]
+    fn sharded_trace_keeps_each_fragment_under_its_own_leg() {
+        use crate::engine::PreparedQuery;
+        use crate::prepared::EByte;
+        use crate::trace::TraceContext;
+        use slp::compress::{Compressor, RePair};
+        use slp::shard;
+        use spanner::regex;
+        let m = regex::compile(".*x{a+}y{b+}.*", b"ab").unwrap();
+        let query = PreparedQuery::determinized(&m);
+        let text: Vec<u8> = (0..512u64)
+            .map(|i| if crate::trace::splitmix64(i) & 1 == 0 { b'a' } else { b'b' })
+            .collect();
+        let (combined, layout) = shard::split(&RePair::default().compress(&text), 4).compose();
+        let ended = combined
+            .map_terminals(EByte::Byte)
+            .append_terminal(EByte::End);
+        let trace = ShardTrace {
+            ctx: TraceContext {
+                trace_id: 7,
+                sampled: true,
+            },
+            epoch: Instant::now(),
+        };
+        let (_, stats) = Preprocessed::build_sharded_traced(
+            query.nfa(),
+            &ended,
+            query.num_vars(),
+            &layout,
+            &OutOfOrderLegs,
+            Some(trace),
+        );
+        let spans = &stats.spans;
+        let passes: Vec<&SpanRec> = spans.iter().filter(|s| s.name == "pass").collect();
+        assert_eq!(passes.len(), 4 - stats.deduped);
+        assert!(passes.len() >= 2, "{spans:?}");
+        for pass in passes {
+            let leg = &spans[pass.parent.expect("a pass sits under its leg") as usize];
+            assert_eq!(leg.name, "leg", "{spans:?}");
+            assert_eq!(leg.attrs, pass.attrs, "{spans:?}");
+            assert!(pass.start_us >= leg.start_us);
+        }
+        // Fragment roots stay unparented: the service grafts them.
+        assert!(spans
+            .iter()
+            .filter(|s| s.name != "pass")
+            .all(|s| s.parent.is_none()));
     }
 }

@@ -78,9 +78,11 @@ pub enum Task {
     ModelCheck(SpanTuple),
     /// `|⟦M⟧(D)|` without materialising any tuple (counting extension).
     Count,
-    /// Materialise `⟦M⟧(D)` (Theorem 7.1), keeping at most `limit` tuples
-    /// (`None` = all).  The bound trims the response; the computation
-    /// itself is the full `O(size(S)·r)` pass.
+    /// Materialise `⟦M⟧(D)` (Theorem 7.1), keeping the first `limit` tuples
+    /// in the `⪯`-order (`None` = all).  The bound truncates every
+    /// intermediate list too, so the cost is `O(N†·q·limit)` for the `N†`
+    /// entries satisfying (†) — independent of `|⟦M⟧(D)|`
+    /// ([`compute::compute_first`]).
     Compute {
         /// Maximum number of tuples to return (`None` = no bound).
         limit: Option<usize>,
@@ -1272,11 +1274,7 @@ impl Service {
             Task::ModelCheck(_) => unreachable!("handled above"),
             Task::Count => TaskOutcome::Count(count::count_from_matrices(&pre)),
             Task::Compute { limit } => {
-                let mut tuples = compute::compute_from_matrices(&pre);
-                if let Some(limit) = *limit {
-                    tuples.truncate(limit);
-                }
-                TaskOutcome::Tuples(tuples)
+                TaskOutcome::Tuples(compute::compute_first(&pre, limit.unwrap_or(usize::MAX)))
             }
             Task::Enumerate { skip, limit } => {
                 let iter = enumerate::Enumeration::from_matrices(&pre).skip(*skip);

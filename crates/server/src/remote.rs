@@ -817,7 +817,9 @@ impl ShardExecutor for RemoteExecutor {
                                             .push(("hedge_win".to_string(), "true".to_string()));
                                     }
                                 }
-                                spans.append(&mut won);
+                                // After a `hedge_issue` span: remap the
+                                // leg's parent indices past it.
+                                trace::graft(&mut spans, &won, None, 0);
                                 rows = Some(answer);
                             }
                             Ok((_, _, _, Err(_))) => outstanding -= 1,

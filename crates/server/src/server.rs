@@ -63,8 +63,10 @@
 //!
 //! ## Graceful shutdown
 //!
-//! The `shutdown` verb (or [`Server::request_shutdown`]) flips a flag: the
-//! accept loop stops accepting, in-flight requests run to completion and
+//! The `shutdown` verb (or [`Server::request_shutdown`]) flips a flag and
+//! wakes the accept loop (blocked in `accept`) with a connection to the
+//! bound address: the accept loop stops accepting, in-flight requests run
+//! to completion and
 //! their responses are written, idle connections are closed at the next
 //! poll tick, and new requests on surviving connections draw
 //! [`ErrorCode::ShuttingDown`].  [`Server::join`] returns only after every
@@ -130,8 +132,9 @@ pub struct ServerConfig {
     pub max_frame_len: usize,
     /// Tuples per streamed enumeration page.
     pub page_size: usize,
-    /// How often blocked reads and the accept loop re-check the shutdown
-    /// flag (the latency of a drain, not of requests).
+    /// How often blocked reads re-check the shutdown flag (the latency of a
+    /// drain, not of requests), and the accept loop's back-off after a
+    /// failed `accept`.
     pub poll_interval: Duration,
     /// How long one response write may block before its connection is
     /// abandoned.  A client that stops reading mid-stream fills the TCP
@@ -583,6 +586,9 @@ struct Shared {
     /// every server so the handler and `stats` need no special-casing.
     block_cache: BlockCache<CachedBlock>,
     shutdown: AtomicBool,
+    /// The bound address: [`Shared::begin_shutdown`] connects here to wake
+    /// the accept loop out of its blocking `accept`.
+    addr: SocketAddr,
     inflight: AtomicUsize,
     metrics: Metrics,
     obs: Obs,
@@ -602,6 +608,24 @@ enum CachedBlock {
 }
 
 impl Shared {
+    /// Flips the shutdown flag and, the first time, wakes the accept loop
+    /// out of its blocking `accept` by connecting to the bound address (an
+    /// unspecified bind address is reached over loopback).
+    fn begin_shutdown(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // A refused connect means the loop has already exited.
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    }
+
     fn server_stats(&self) -> WireServerStats {
         WireServerStats {
             connections: self.metrics.connections.load(Ordering::Relaxed),
@@ -1135,7 +1159,6 @@ impl Server {
         }
 
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             service,
@@ -1147,6 +1170,7 @@ impl Server {
             remote,
             block_cache: BlockCache::new(config.block_cache_budget),
             shutdown: AtomicBool::new(false),
+            addr,
             inflight: AtomicUsize::new(0),
             metrics: Metrics::default(),
             obs: Obs::new(),
@@ -1196,7 +1220,7 @@ impl Server {
 
     /// Flips the shutdown flag, exactly like the wire `shutdown` verb.
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
     }
 
     /// `true` once a shutdown was requested (wire verb or
@@ -1235,7 +1259,7 @@ impl Drop for Server {
     fn drop(&mut self) {
         // A dropped server (e.g. a test bailing early) must not leak the
         // accept loop; request a drain and let the thread go.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -1446,11 +1470,21 @@ fn reshard_loop(shared: Arc<Shared>, opts: ReshardOptions) {
     }
 }
 
+/// Accepts connections in a blocking `accept`, so a connecting client is
+/// served at once rather than at the next poll tick; a shutdown wakes it
+/// with a connection of its own ([`Shared::begin_shutdown`]).
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        // Reap workers of closed connections, so a long-running server
+        // under connection churn holds handles only for *live* connections,
+        // not for every connection it ever accepted.
+        workers.retain(|worker| !worker.is_finished());
+        match stream {
+            Ok(stream) => {
                 shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
                 let shared = shared.clone();
                 workers.push(std::thread::spawn(move || {
@@ -1458,14 +1492,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     let _ = serve_connection(stream, shared);
                 }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Reap workers of closed connections while idle, so a
-                // long-running server under connection churn holds handles
-                // only for *live* connections, not for every connection it
-                // ever accepted.
-                workers.retain(|worker| !worker.is_finished());
-                std::thread::sleep(shared.config.poll_interval);
-            }
+            // E.g. out of file descriptors: back off instead of spinning.
             Err(_) => std::thread::sleep(shared.config.poll_interval),
         }
     }
@@ -1691,7 +1718,7 @@ fn handle_frame(
         Request::Stats => conn.send(meta.id, &shared.stats_response()).map(|()| false),
         // Shutdown is always admitted: an overloaded server must drain.
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.begin_shutdown();
             conn.send(meta.id, &Response::ShuttingDown)?;
             Ok(true)
         }

@@ -126,21 +126,18 @@ impl PartialMarkerSet {
     /// `s`), so the concatenation is a cheap append; the general merging
     /// case is still handled correctly.
     pub fn compose(&self, shift: u64, right: &PartialMarkerSet) -> Self {
-        if right.is_empty() {
+        let Some(&(first, _)) = right.entries.first() else {
             return self.clone();
-        }
-        let shifted = right.right_shift(shift);
-        if self.is_empty() {
-            return shifted;
-        }
-        if self.max_position() < shifted.entries[0].0 {
+        };
+        if self.max_position() < first + shift {
             // Fast path: strictly separated halves (the only case the
-            // evaluation algorithms produce).
-            let mut entries = self.entries.clone();
-            entries.extend_from_slice(&shifted.entries);
+            // evaluation algorithms produce) — one allocation, no merge.
+            let mut entries = Vec::with_capacity(self.entries.len() + right.entries.len());
+            entries.extend_from_slice(&self.entries);
+            entries.extend(right.entries.iter().map(|&(p, s)| (p + shift, s)));
             return PartialMarkerSet { entries };
         }
-        PartialMarkerSet::from_entries(self.entries().chain(shifted.entries()))
+        PartialMarkerSet::from_entries(self.entries().chain(right.right_shift(shift).entries()))
     }
 
     /// Heap bytes owned by this partial marker set (the backing entry
@@ -169,31 +166,38 @@ impl PartialMarkerSet {
 /// is the **larger** one.  This ordering is compatible with `⊗_s`
 /// composition, which is what makes merge-based duplicate elimination in the
 /// computation algorithm sound.
+///
+/// Evaluated in place on the run-length entries, without expanding: at the
+/// first entry where the two lists differ, distinct positions decide by
+/// position; at equal positions the expanded sequences first differ at the
+/// lowest marker bit in which the two sets differ, and the set holding that
+/// bit is the smaller — its next element is either that marker or, for
+/// the other set, a higher marker, a later position, or the end of the
+/// sequence (the prefix case).
 impl Ord for PartialMarkerSet {
     fn cmp(&self, other: &Self) -> Ordering {
-        let a = self.expand();
-        let b = other.expand();
-        for (x, y) in a.iter().zip(b.iter()) {
-            let c = (x.0, marker_rank(x.1)).cmp(&(y.0, marker_rank(y.1)));
-            if c != Ordering::Equal {
-                return c;
+        for (&(pa, sa), &(pb, sb)) in self.entries.iter().zip(&other.entries) {
+            if pa != pb {
+                return pa.cmp(&pb);
+            }
+            let differ = sa.bits() ^ sb.bits();
+            if differ != 0 {
+                let lowest = differ & differ.wrapping_neg();
+                return if sa.bits() & lowest != 0 {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
             }
         }
         // One is a prefix of the other: the prefix is larger.
-        b.len().cmp(&a.len())
+        other.entries.len().cmp(&self.entries.len())
     }
 }
 
 impl PartialOrd for PartialMarkerSet {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-fn marker_rank(m: Marker) -> u32 {
-    match m {
-        Marker::Open(v) => 2 * v.0 as u32,
-        Marker::Close(v) => 2 * v.0 as u32 + 1,
     }
 }
 
@@ -357,6 +361,92 @@ mod tests {
         // Prefix case: b1 is a prefix of b1 ∪ {(5, ◁x)}.
         let b1_ext = PartialMarkerSet::from_marker_positions(vec![(2, open(0)), (5, close(0))]);
         assert!(b1.compose(s, &c1) > b1_ext.compose(s, &c1));
+    }
+
+    /// The original `⪯` implementation over the expanded sequences, kept
+    /// as the reference the in-place comparison is tested against.
+    fn expanded_cmp(a: &PartialMarkerSet, b: &PartialMarkerSet) -> Ordering {
+        fn rank(m: Marker) -> u32 {
+            match m {
+                Marker::Open(v) => 2 * v.0 as u32,
+                Marker::Close(v) => 2 * v.0 as u32 + 1,
+            }
+        }
+        let (a, b) = (a.expand(), b.expand());
+        for (x, y) in a.iter().zip(b.iter()) {
+            let c = (x.0, rank(x.1)).cmp(&(y.0, rank(y.1)));
+            if c != Ordering::Equal {
+                return c;
+            }
+        }
+        b.len().cmp(&a.len())
+    }
+
+    /// Deterministic xorshift64 stream for the seeded property tests.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// A random partial marker set over 3 variables and positions `1..=6`:
+    /// small ranges, so equal positions with different marker sets and
+    /// shared prefixes are frequent.
+    fn random_set(next: &mut impl FnMut() -> u64) -> PartialMarkerSet {
+        let n = (next() % 4) as usize;
+        PartialMarkerSet::from_entries(
+            (0..n).map(|_| (1 + next() % 6, MarkerSet::from_bits(next() % 64))),
+        )
+    }
+
+    #[test]
+    fn in_place_order_matches_the_expanded_reference() {
+        let mut next = rng(0x5eed_04d3_u64.wrapping_mul(0x9e37_79b9));
+        for _ in 0..20_000 {
+            let a = random_set(&mut next);
+            let b = match next() % 4 {
+                // A prefix of `a` (whole entries, or a marker subset of
+                // the last entry keeping only its low bits).
+                0 => {
+                    let keep = (next() as usize) % (a.num_positions() + 1);
+                    let mut entries: Vec<(u64, MarkerSet)> = a.entries().take(keep).collect();
+                    if let Some((p, s)) = a.entries().nth(keep) {
+                        let cut = (next() % 7) as u32;
+                        entries.push((p, MarkerSet::from_bits(s.bits() & ((1u64 << cut) - 1))));
+                    }
+                    PartialMarkerSet::from_entries(entries)
+                }
+                // Same positions as `a`, one marker set perturbed.
+                1 => PartialMarkerSet::from_entries(a.entries().enumerate().map(|(t, (p, s))| {
+                    if t == 0 {
+                        (p, MarkerSet::from_bits(s.bits() ^ (1 << (next() % 6))))
+                    } else {
+                        (p, s)
+                    }
+                })),
+                2 => a.clone(),
+                _ => random_set(&mut next),
+            };
+            assert_eq!(a.cmp(&b), expanded_cmp(&a, &b), "{a} vs {b}");
+            assert_eq!(b.cmp(&a), expanded_cmp(&b, &a), "{b} vs {a}");
+        }
+    }
+
+    #[test]
+    fn separated_compose_matches_the_general_merge() {
+        let mut next = rng(0xc0_3905e);
+        for _ in 0..2_000 {
+            let l = random_set(&mut next);
+            let r = random_set(&mut next);
+            let shift = 6 + next() % 3;
+            let general =
+                PartialMarkerSet::from_entries(l.entries().chain(r.right_shift(shift).entries()));
+            assert_eq!(l.compose(shift, &r), general, "{l} ⊗_{shift} {r}");
+        }
     }
 
     #[test]

@@ -89,7 +89,11 @@ fn pages_interleave_with_point_lookups_on_one_socket() {
         ..ServerConfig::default()
     });
     let mut admin = Client::connect(server.local_addr()).unwrap();
-    let (query, doc) = register(&mut admin, 300);
+    // The scan streams every (a, b) position pair of (ab)^150 with the a
+    // first: 150·151/2 = 11 325 one-tuple pages.  Sized by result count, so
+    // the stream outlasts a model check however fast enumeration gets.
+    let query = admin.add_query(".*x{a}.*y{b}.*", b"ab").expect("add_query");
+    let doc = admin.add_doc(&b"ab".repeat(150)).expect("add_doc").id;
     let (tuples, _) = admin.compute(query, doc, Some(1)).unwrap();
     let witness = tuples[0].clone();
 
@@ -125,27 +129,32 @@ fn pages_interleave_with_point_lookups_on_one_socket() {
             limit: None,
         },
     );
-    // Keep feeding point lookups until the scan's terminal frame arrives,
-    // recording the arrival order of every frame.
+    // One model check in flight at a time: a fresh one goes out after each
+    // frame that leaves none outstanding (the scan's first page, then every
+    // check reply) until the scan's terminal frame arrives.  Records the
+    // arrival order of every frame.
     let mut arrivals: Vec<(u64, bool)> = Vec::new();
     let mut next_check = SCAN + 1;
-    let mut outstanding_checks = 0usize;
+    let mut check_in_flight = false;
     loop {
-        submit(next_check, WireTask::ModelCheck(witness.clone()));
-        next_check += 1;
-        outstanding_checks += 1;
         let (id, response) = read_frame(&mut reader);
         let page = matches!(response, Response::Page { .. });
-        if id != SCAN {
-            outstanding_checks -= 1;
-        }
         arrivals.push((id, page));
         if id == SCAN && !page {
             assert!(matches!(response, Response::StreamEnd { .. }));
             break;
         }
+        if id != SCAN {
+            assert!(matches!(response, Response::Checked { .. }));
+            check_in_flight = false;
+        }
+        if !check_in_flight {
+            submit(next_check, WireTask::ModelCheck(witness.clone()));
+            next_check += 1;
+            check_in_flight = true;
+        }
     }
-    for _ in 0..outstanding_checks {
+    if check_in_flight {
         let (id, response) = read_frame(&mut reader);
         assert_ne!(id, SCAN);
         assert!(matches!(response, Response::Checked { .. }));
@@ -154,9 +163,16 @@ fn pages_interleave_with_point_lookups_on_one_socket() {
     let first_page = arrivals.iter().position(|&(id, page)| id == SCAN && page);
     let interleaved =
         first_page.is_some_and(|start| arrivals[start..].iter().any(|&(id, _)| id != SCAN));
+    let checks: Vec<usize> = arrivals
+        .iter()
+        .enumerate()
+        .filter(|(_, &(id, _))| id != SCAN)
+        .map(|(at, _)| at)
+        .collect();
     assert!(
         interleaved,
-        "no model-check reply arrived between the scan's pages: {arrivals:?}"
+        "no model-check reply arrived between the scan's pages: {} frames, first page at {first_page:?}, check replies at {checks:?}",
+        arrivals.len()
     );
 
     admin.shutdown().unwrap();
